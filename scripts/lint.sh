@@ -65,6 +65,17 @@ if grep -rnE '^[[:space:]]*(from|import)[[:space:]]+repro\.(rules|detector|deob)
   exit 1
 fi
 
+# Analysis layering gate: repro.analysis sits on top of the detector
+# (analysis/report.py imports detector.pipeline), so a module-level import
+# of it from the detector, features or scan layers closes an import cycle.
+# Lazy imports inside a function body (indented) stay allowed.
+if grep -rnE '^(from|import)[[:space:]]+repro\.analysis' \
+    src/repro/detector src/repro/features src/repro/scan --include='*.py'; then
+  echo "[lint] module-level repro.analysis import below the analysis layer" >&2
+  echo "[lint] (see matches above); import it inside the function that needs it" >&2
+  exit 1
+fi
+
 # Deob purity gate: deobfuscation passes must never mutate the AST they
 # are handed — they scan read-only and rewrite a clone().  A pass that
 # edits in place corrupts the engine's fixpoint bookkeeping (and any

@@ -11,10 +11,9 @@ malicious corpora.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
-from repro.features.ngrams import ast_unit_sequence
+from repro.features.ngrams import ast_unit_sequence, unit_sequence_fingerprint
 from repro.js.parser import parse
 
 
@@ -24,11 +23,13 @@ def structural_fingerprint(source: str) -> str:
     Two scripts that differ only in identifier names, string contents or
     literal values map to the same fingerprint; any structural edit (added
     statement, different operator nesting) changes it.
+
+    This parses ``source``.  Scripts that go through feature extraction
+    already carry the same digest (``DetectionResult.fingerprint``, taken
+    from the extraction's flat index), so a scan calls this only for units
+    decided by triage or rewritten by deob.
     """
-    program = parse(source)
-    sequence = ast_unit_sequence(program)
-    digest = hashlib.sha1("\x00".join(sequence).encode("utf-8"))
-    return digest.hexdigest()
+    return unit_sequence_fingerprint(ast_unit_sequence(parse(source)))
 
 
 @dataclass
@@ -56,7 +57,10 @@ def cluster_waves_from_fingerprints(
     This is the substrate the crawl-scale scan pipeline merges on: scan
     workers record each script's structural fingerprint next to its
     verdict, so wave recovery over millions of files never re-parses —
-    it folds the persisted fingerprint column.  ``None`` entries
+    it folds the persisted fingerprint column.  The workers take that
+    fingerprint from feature extraction's flat index, which parsed the
+    script anyway; only units decided by triage or rewritten by deob are
+    parsed once more, by :func:`structural_fingerprint`.  ``None`` entries
     (unparseable scripts) are skipped, exactly as the paper's static
     pipeline skips unparseable malware.
     """

@@ -160,9 +160,30 @@ class DeobEngine:
     # -- public API --------------------------------------------------------------
 
     def run(self, source: str) -> DeobResult:
-        """Normalize ``source``; never raises on malformed input."""
+        """Normalize ``source``; never raises on malformed input.
+
+        Input too deeply nested for the recursive tree walkers (codegen on
+        a 20,000-term concatenation, say) comes back unchanged with
+        ``report.bailed == "recursion"``.
+        """
         started = time.perf_counter()
         report = DeobReport(passes=[PassStats(p.name) for p in self.passes])
+        try:
+            return self._run(source, report, started)
+        except RecursionError:
+            bailed = DeobReport(
+                passes=[PassStats(p.name) for p in self.passes],
+                iterations=report.iterations,
+                nodes_before=report.nodes_before,
+                nodes_after=report.nodes_before,
+                techniques_before=report.techniques_before,
+                techniques_after=dict(report.techniques_before),
+                bailed="recursion",
+            )
+            bailed.wall_time_ms = (time.perf_counter() - started) * 1000
+            return DeobResult(source=source, report=bailed, changed=False)
+
+    def _run(self, source: str, report: DeobReport, started: float) -> DeobResult:
         stats_by_name = {stats.name: stats for stats in report.passes}
 
         try:

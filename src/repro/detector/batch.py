@@ -5,7 +5,9 @@ scripts; this module provides the substrate for that scale:
 
 - **one-pass extraction** — each source is parsed and flow-enhanced exactly
   once, then projected into both the level-1 and level-2 vector spaces via
-  :class:`~repro.features.extractor.PairedFeatureExtractor`;
+  :class:`~repro.features.extractor.PairedFeatureExtractor`; the same pass
+  yields the script's structural fingerprint (§IV-C waves) from the flat
+  index, so no consumer parses the script again to cluster it;
 - **parallel extraction** — feature extraction (the dominant cost) fans out
   across a ``ProcessPoolExecutor``; ``n_workers=1`` is an in-process serial
   fallback with bit-identical output;
@@ -24,6 +26,7 @@ scripts; this module provides the substrate for that scale:
 from __future__ import annotations
 
 import hashlib
+import logging
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +40,8 @@ from repro.corpus.filters import MAX_BYTES
 from repro.detector.level1 import Level1Detector
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD, Level2Detector
 from repro.features.extractor import PairedFeatureExtractor
+from repro.features.ngrams import unit_sequence_fingerprint
+from repro.flows.graph import enhance
 from repro.rules.engine import RuleEngine, TriageResult, default_engine
 from repro.rules.findings import Finding, max_confidence_by_technique
 from repro.transform.base import OBFUSCATION_TECHNIQUES, Technique
@@ -45,8 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.detector.pipeline import DetectionResult, TransformationDetector
 
 #: outcome tuples:
-#: ("ok", vec1, vec2, df_available, flow_timeout, findings) | ("err", kind, message)
+#: ("ok", vec1, vec2, df_available, flow_timeout, findings, fingerprint)
+#: | ("err", kind, message)
 _Outcome = tuple
+
+logger = logging.getLogger(__name__)
 
 #: Triage modes accepted by :class:`BatchInferenceEngine`.
 TRIAGE_MODES = ("off", "prefilter", "only")
@@ -133,6 +141,8 @@ class BatchFeatures:
     findings: list[list[Finding]] = field(default_factory=list)
     #: per-ok-file flag: some flow analysis degraded (aligned with ok_indices)
     flow_timeout: list[bool] = field(default_factory=list)
+    #: per-ok-file structural fingerprint (aligned with ok_indices)
+    fingerprint: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -176,14 +186,24 @@ def _extract_one(
         if size > max_bytes:
             return ("err", "oversize", f"{size} bytes exceeds limit of {max_bytes}")
     try:
-        v1, v2, df_available, flow_timeout, findings = paired.extract_pair(source)
+        enhanced = enhance(source, data_flow_timeout=paired.data_flow_timeout)
+        v1, v2, findings = paired.extract_pair_from_enhanced(enhanced)
+        fingerprint = unit_sequence_fingerprint(enhanced.flat.type_names)
     except RecursionError:
         return ("err", "recursion", "AST nesting exceeds the recursion limit")
     except (SyntaxError, ValueError) as error:  # ParseError / LexerError
         return ("err", "parse", str(error) or type(error).__name__)
     except Exception as error:  # noqa: BLE001 - one file must not kill a batch
         return ("err", "internal", f"{type(error).__name__}: {error}")
-    return ("ok", v1, v2, df_available, flow_timeout, findings)
+    return (
+        "ok",
+        v1,
+        v2,
+        enhanced.data_flow_available,
+        enhanced.flow_timeout,
+        findings,
+        fingerprint,
+    )
 
 
 def _extract_chunk(
@@ -380,6 +400,7 @@ class BatchInferenceEngine:
         df_available: list[bool] = []
         flow_timeout: list[bool] = []
         findings: list[list[Finding]] = []
+        fingerprints: list[str] = []
         rows1: list[np.ndarray] = []
         rows2: list[np.ndarray] = []
         for index, outcome in enumerate(outcomes):
@@ -390,6 +411,7 @@ class BatchInferenceEngine:
                 df_available.append(outcome[3])
                 flow_timeout.append(outcome[4])
                 findings.append(outcome[5])
+                fingerprints.append(outcome[6])
                 if not outcome[3]:
                     stats.df_timeouts += 1
                 if outcome[4]:
@@ -420,6 +442,7 @@ class BatchInferenceEngine:
             stats=stats,
             findings=findings,
             flow_timeout=flow_timeout,
+            fingerprint=fingerprints,
         )
 
     def extract_token_features(self, sources: list[str]) -> TokenBatchFeatures:
@@ -608,12 +631,13 @@ class BatchInferenceEngine:
                         proba2, k=k, threshold=threshold
                     )
                 techniques_iter = iter(technique_lists)
-                for position, labels, transformed, findings, flow_timeout in zip(
+                for position, labels, transformed, findings, flow_timeout, fingerprint in zip(
                     features.ok_indices,
                     label_sets,
                     transformed_mask,
                     features.findings,
                     features.flow_timeout,
+                    features.fingerprint,
                 ):
                     techniques = next(techniques_iter) if transformed else []
                     results[remaining[position]] = DetectionResult(
@@ -622,6 +646,7 @@ class BatchInferenceEngine:
                         techniques=techniques,
                         findings=findings,
                         flow_timeout=flow_timeout,
+                        fingerprint=fingerprint,
                     )
             stats.predict_time = time.perf_counter() - t_predict
 
@@ -640,5 +665,5 @@ class BatchInferenceEngine:
             try:
                 self.observer(stats)
             except Exception:  # noqa: BLE001 - observability must not fail a batch
-                pass
+                logger.exception("batch observer %r failed", self.observer)
         return BatchResult(results=results, stats=stats)

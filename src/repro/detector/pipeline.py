@@ -70,6 +70,10 @@ class DetectionResult:
     #: a flow analysis (DFG timeout or interproc budget cap) silently
     #: degraded while extracting this file's features
     flow_timeout: bool = False
+    #: structural fingerprint (§IV-C waves) of the classified source, from
+    #: the extraction's flat index; ``None`` when no extraction ran
+    #: (triaged or failed files)
+    fingerprint: str | None = None
 
     @property
     def ok(self) -> bool:

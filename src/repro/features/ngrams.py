@@ -11,6 +11,7 @@ maps into the same vector space regardless of which n-grams it contains.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 from collections import Counter
 
@@ -29,6 +30,17 @@ def ast_unit_sequence(program: Node) -> list[str]:
         children = list(iter_child_nodes(node))
         stack.extend(reversed(children))
     return sequence
+
+
+def unit_sequence_fingerprint(sequence: list[str]) -> str:
+    """SHA-1 over a pre-order unit sequence: the structural fingerprint.
+
+    The one definition of the wave-clustering digest (§IV-C).  Feature
+    extraction applies it to ``FlatIndex.type_names`` (the same sequence
+    :func:`ast_unit_sequence` derives from the tree), so a scan gets the
+    fingerprint without a second parse.
+    """
+    return hashlib.sha1("\x00".join(sequence).encode("utf-8")).hexdigest()
 
 
 def token_unit_sequence(tokens) -> list[str]:

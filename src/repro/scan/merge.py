@@ -20,7 +20,6 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.waves import wave_statistics_from_fingerprints
 from repro.scan.store import ResultStore
 
 #: bump when the report shape changes.
@@ -39,6 +38,11 @@ def merge_scan(store: ResultStore, manifest: Iterable[dict] | None = None) -> di
     ``units.total`` and ``by_kind`` count manifest occurrences, so the
     duplication factor — how often the same script ships — is visible.
     """
+    # Imported here, not at module level: repro.analysis imports the
+    # detector layer, so a module-level import from repro.scan risks an
+    # import cycle (scripts/lint.sh bars it).
+    from repro.analysis.waves import wave_statistics_from_fingerprints
+
     if manifest is None:
         manifest = store.read_manifest()
 

@@ -191,12 +191,23 @@ class ShardWorker:
             )
 
     def _fingerprint(self, unit: ScanUnit, result: "DetectionResult") -> str | None:
+        """The unit's structural fingerprint, parsing only when it must.
+
+        Feature extraction already digested the classified source's flat
+        index; that is the unit's own fingerprint unless deob rewrote the
+        source.  Triaged units (never extracted) and deob-rewritten units
+        are parsed here.
+        """
         if not self.config.fingerprint or not result.ok:
             return None
-        from repro.analysis.waves import structural_fingerprint
+        if result.fingerprint is not None and (
+            result.deob is None or not result.deob.changed
+        ):
+            return result.fingerprint
+        from repro.analysis import waves
 
         try:
-            return structural_fingerprint(unit.source)
+            return waves.structural_fingerprint(unit.source)
         except (SyntaxError, ValueError, RecursionError):
             return None
 

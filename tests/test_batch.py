@@ -1,5 +1,7 @@
 """Batch inference engine: single-pass, parallel, fault-isolated, cached."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,21 @@ class TestEmptyAndStats:
         assert stats.ok + stats.errors == 3
         assert stats.wall_time > 0
         assert "3 files" in str(stats)
+
+
+class TestObserver:
+    def test_raising_observer_is_logged_not_raised(self, caplog):
+        def observer(stats):
+            raise RuntimeError("observer bug")
+
+        engine = BatchInferenceEngine(None, triage="only", observer=observer)
+        with caplog.at_level(logging.ERROR, logger="repro.detector.batch"):
+            result = engine.classify(["var a = 1;", "var b = 2;"])
+        assert len(result) == 2 and result.stats.ok == 2
+        records = [r for r in caplog.records if r.name == "repro.detector.batch"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.ERROR
+        assert str(records[0].exc_info[1]) == "observer bug"
 
 
 class TestEngineConstruction:

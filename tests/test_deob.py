@@ -171,6 +171,24 @@ class TestAdversarialInputs:
             result = engine.run(source)
             assert result.report.error is None
 
+    def test_recursion_limit_returns_input_unchanged(self, engine):
+        # a left-deep 20,000-term concatenation parses, but codegen recurses
+        # once per term
+        deep = "var s=" + "+".join(f"'p{i}'" for i in range(20_000)) + ";"
+        result = engine.run(deep)
+        assert result.report.bailed == "recursion"
+        assert result.source == deep
+        assert not result.changed
+        assert result.report.passes_applied == []
+        assert result.report.techniques_removed == []
+
+        batch = BatchInferenceEngine(None, triage="only").classify(
+            ["var a=1;", deep], deob=True
+        )
+        assert len(batch.results) == 2
+        assert all(result.ok for result in batch.results)
+        assert batch.results[1].deob.report.bailed == "recursion"
+
 
 class TestPassPurity:
     """Passes must never mutate the input AST (`scripts/lint.sh` gate)."""

@@ -267,6 +267,104 @@ class TestShardWorker:
         assert "fingerprint" not in record
 
 
+# -- fingerprints from the extraction pass -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory, trained_detector) -> str:
+    path = tmp_path_factory.mktemp("model") / "detector.pkl"
+    trained_detector.save(path)
+    return str(path)
+
+
+def _model_worker(tmp_path, model_path, **overrides) -> ShardWorker:
+    config = dict(
+        store_root=str(tmp_path / "store"),
+        model_path=model_path,
+        model_digest="test",
+        fingerprint=True,
+    )
+    config.update(overrides)
+    return ShardWorker(WorkerConfig(**config))
+
+
+def _ingest(corpus: Path, files: dict[str, str]) -> dict:
+    corpus.mkdir(parents=True)
+    for name, text in files.items():
+        (corpus / name).write_text(text)
+    units, _, _ = _events(iter_directory(corpus))
+    return {unit.origin: unit for unit in units}
+
+
+class TestFingerprintFromExtraction:
+    @pytest.mark.parametrize("deob", [False, True])
+    def test_records_match_a_fresh_parse_of_the_unit(
+        self, tmp_path, model_path, sample_source, deob
+    ):
+        from repro.analysis.waves import structural_fingerprint
+        from repro.deob import DeobEngine
+
+        folded = 'var greeting = "hel" + "lo" + " world";\nconsole.log(greeting);\n'
+        units = _ingest(
+            tmp_path / "corpus",
+            {
+                "full.js": sample_source,
+                # deob's own output is a fixpoint: deob leaves it unchanged
+                "normal.js": DeobEngine().run(sample_source).source,
+                "folded.js": folded,
+                "minified.js": "var a=1;function b(c){return c?c+1:0};" * 24,
+                "broken.js": "function ((( not javascript",
+            },
+        )
+        worker = _model_worker(tmp_path, model_path, triage="prefilter", deob=deob)
+        worker.process(
+            ShardTask(index=0, units=tuple(units.values()), log_path=str(tmp_path / "log"))
+        )
+        store = ResultStore(tmp_path / "store")
+        records = {origin: store.get(unit.sha256) for origin, unit in units.items()}
+
+        broken = records.pop("broken.js")
+        assert broken["ok"] is False and "fingerprint" not in broken
+        for origin, record in records.items():
+            assert record["ok"] is True, origin
+            assert record["fingerprint"] == structural_fingerprint(units[origin].source), origin
+        if deob:
+            assert records["folded.js"]["deob"]["changed"] is True
+            assert records["normal.js"]["deob"]["changed"] is False
+            # constant folding changed the structure the model classified
+            rewritten = DeobEngine().run(folded).source
+            assert structural_fingerprint(rewritten) != structural_fingerprint(folded)
+        else:
+            assert records["minified.js"]["triaged"] is True
+            assert records["full.js"]["triaged"] is False
+
+    def test_each_model_path_unit_is_parsed_once(
+        self, tmp_path, model_path, regular_corpus, monkeypatch
+    ):
+        from repro.js.parser import Parser
+
+        units = _ingest(
+            tmp_path / "corpus",
+            {f"r{index}.js": text for index, text in enumerate(regular_corpus[:4])},
+        )
+        worker = _model_worker(tmp_path, model_path)
+        calls = []
+        parse_program = Parser.parse_program
+
+        def counting(self):
+            calls.append(self)
+            return parse_program(self)
+
+        monkeypatch.setattr(Parser, "parse_program", counting)
+        outcome = worker.process(
+            ShardTask(index=0, units=tuple(units.values()), log_path=str(tmp_path / "log"))
+        )
+        assert outcome.ok == 4 and outcome.triaged == 0
+        assert len(calls) == 4
+        store = ResultStore(tmp_path / "store")
+        assert all("fingerprint" in store.get(unit.sha256) for unit in units.values())
+
+
 # -- coordinator ---------------------------------------------------------------
 
 
